@@ -92,6 +92,43 @@ func (a *Array) IdealPower() float64 {
 	return sum
 }
 
+// Norton is one module's Norton equivalent: conductance G = 1/R and
+// source current VG = Voc·G. A failed-open module does not conduct; a
+// failed-short one conducts with G = 1/R_short and no source.
+type Norton struct {
+	G, VG    float64
+	Conducts bool
+}
+
+// Terms is the per-module Norton slab of one array, in chain order: the
+// only per-module input of the Thevenin sum, the module-current solve
+// and the reverse-current scan. The evaluator prices dozens of
+// candidate configurations of the same array per control period, so it
+// computes the slab once and reads it for every candidate instead of
+// re-deriving each module's resistance and EMF per question.
+type Terms []Norton
+
+// TermsInto writes every module's Norton terms, honouring its health,
+// into dst, reusing its backing storage when the capacity suffices.
+func (a *Array) TermsInto(dst Terms) Terms {
+	if cap(dst) < len(a.Ops) {
+		dst = make(Terms, len(a.Ops))
+	}
+	dst = dst[:len(a.Ops)]
+	for i, op := range a.Ops {
+		switch a.healthOf(i) {
+		case FailedOpen:
+			dst[i] = Norton{}
+		case FailedShort:
+			dst[i] = Norton{G: 1 / shortResistance, Conducts: true}
+		default:
+			r := a.Spec.R(op)
+			dst[i] = Norton{G: 1 / r, VG: a.Spec.Voc(op) / r, Conducts: true}
+		}
+	}
+	return dst
+}
+
 // Equivalent computes the Thevenin equivalent of cfg.
 //
 // Modules of a group share their terminal voltage V_g; solving the node
@@ -103,22 +140,20 @@ func (a *Array) IdealPower() float64 {
 // series add voltages and resistances.
 func (a *Array) Equivalent(cfg Config) (Equivalent, error) {
 	var eq Equivalent
-	if err := a.EquivalentInto(&eq, cfg); err != nil {
+	if err := a.TermsInto(nil).EquivalentInto(&eq, cfg); err != nil {
 		return Equivalent{}, err
 	}
 	return eq, nil
 }
 
-// EquivalentInto is Equivalent assembled in place: dst's Groups backing
-// storage is reused when its capacity suffices, and every other field is
-// overwritten. The evaluator prices dozens of candidate configurations
-// per control period and the simulator re-derives the chosen one every
-// tick, so the per-call Groups allocation used to dominate the hot
-// loop's heap churn; a reused equivalent removes it. On error dst is
-// left in an unspecified state.
-func (a *Array) EquivalentInto(dst *Equivalent, cfg Config) error {
-	if cfg.N != a.N() {
-		return fmt.Errorf("array: config for %d modules applied to %d", cfg.N, a.N())
+// EquivalentInto is Array.Equivalent assembled in place from the slab:
+// dst's Groups backing storage is reused when its capacity suffices, and
+// every other field is overwritten. Together with a reused slab this
+// keeps pricing a configuration off the heap. On error dst is left in
+// an unspecified state.
+func (t Terms) EquivalentInto(dst *Equivalent, cfg Config) error {
+	if cfg.N != len(t) {
+		return fmt.Errorf("array: config for %d modules applied to %d", cfg.N, len(t))
 	}
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -132,13 +167,12 @@ func (a *Array) EquivalentInto(dst *Equivalent, cfg Config) error {
 	for j := range dst.Groups {
 		lo, hi := cfg.GroupBounds(j)
 		sumG, sumVG := 0.0, 0.0 // Σ 1/R, Σ Voc/R
-		for i := lo; i < hi; i++ {
-			gi, vgi, conducts := a.contribution(i)
-			if !conducts {
+		for _, m := range t[lo:hi] {
+			if !m.Conducts {
 				continue
 			}
-			sumG += gi
-			sumVG += vgi
+			sumG += m.G
+			sumVG += m.VG
 		}
 		if sumG == 0 {
 			// Every module of the group failed open: the series chain
@@ -178,29 +212,23 @@ func (e Equivalent) MPP() teg.MPP {
 // modules carry nothing and failed-short modules sink −V_g/R_short. A
 // broken chain (see Equivalent.Broken) carries zero everywhere.
 func (a *Array) ModuleCurrents(cfg Config, iOut float64) ([]float64, error) {
-	eq, err := a.Equivalent(cfg)
-	if err != nil {
+	t := a.TermsInto(nil)
+	var eq Equivalent
+	if err := t.EquivalentInto(&eq, cfg); err != nil {
 		return nil, err
 	}
-	return a.ModuleCurrentsAt(eq, cfg, iOut), nil
+	return t.ModuleCurrentsInto(nil, eq, cfg, iOut), nil
 }
 
-// ModuleCurrentsAt is ModuleCurrents evaluated against an already
-// computed Equivalent of cfg — the evaluator's inner loop prices every
-// candidate off one Equivalent and reuses it here instead of re-deriving
-// the whole Thevenin chain per question.
-func (a *Array) ModuleCurrentsAt(eq Equivalent, cfg Config, iOut float64) []float64 {
-	return a.ModuleCurrentsInto(nil, eq, cfg, iOut)
-}
-
-// ModuleCurrentsInto is ModuleCurrentsAt writing into dst, reusing its
-// backing storage when the capacity suffices — the allocation-free form
-// the simulator's per-tick efficiency accounting runs on.
-func (a *Array) ModuleCurrentsInto(dst []float64, eq Equivalent, cfg Config, iOut float64) []float64 {
-	if cap(dst) < a.N() {
-		dst = make([]float64, a.N())
+// ModuleCurrentsInto is Array.ModuleCurrents read off the slab against
+// an already computed Equivalent of cfg and written into dst, reusing
+// its backing storage when the capacity suffices — the allocation-free
+// form the simulator's per-tick efficiency accounting runs on.
+func (t Terms) ModuleCurrentsInto(dst []float64, eq Equivalent, cfg Config, iOut float64) []float64 {
+	if cap(dst) < len(t) {
+		dst = make([]float64, len(t))
 	}
-	out := dst[:a.N()]
+	out := dst[:len(t)]
 	for i := range out {
 		out[i] = 0
 	}
@@ -211,11 +239,9 @@ func (a *Array) ModuleCurrentsInto(dst []float64, eq Equivalent, cfg Config, iOu
 		vg := g.Voc - iOut*g.R
 		lo, hi := cfg.GroupBounds(j)
 		for m := lo; m < hi; m++ {
-			gm, vgm, conducts := a.contribution(m)
-			if !conducts {
-				continue
+			if t[m].Conducts {
+				out[m] = t[m].VG - vg*t[m].G
 			}
-			out[m] = vgm - vg*gm
 		}
 	}
 	return out
@@ -225,29 +251,27 @@ func (a *Array) ModuleCurrentsInto(dst []float64, eq Equivalent, cfg Config, iOu
 // zero current (absorbing power — the failure mode of Fig. 3) when the
 // array delivers iOut under cfg.
 func (a *Array) HasReverseCurrent(cfg Config, iOut float64) (bool, error) {
-	eq, err := a.Equivalent(cfg)
-	if err != nil {
+	t := a.TermsInto(nil)
+	var eq Equivalent
+	if err := t.EquivalentInto(&eq, cfg); err != nil {
 		return false, err
 	}
-	return a.HasReverseCurrentAt(eq, cfg, iOut), nil
+	return t.HasReverseCurrentAt(eq, cfg, iOut), nil
 }
 
-// HasReverseCurrentAt is HasReverseCurrent against an already computed
-// Equivalent of cfg. It needs no module-current scratch: within group j
-// the module current (Voc,m − V_g)·g_m is checked on the fly.
-func (a *Array) HasReverseCurrentAt(eq Equivalent, cfg Config, iOut float64) bool {
+// HasReverseCurrentAt is Array.HasReverseCurrent read off the slab
+// against an already computed Equivalent of cfg. It needs no
+// module-current scratch: within group j the module current
+// (Voc,m − V_g)·g_m is checked on the fly.
+func (t Terms) HasReverseCurrentAt(eq Equivalent, cfg Config, iOut float64) bool {
 	if eq.Broken {
 		return false
 	}
 	for j, g := range eq.Groups {
 		vg := g.Voc - iOut*g.R
 		lo, hi := cfg.GroupBounds(j)
-		for m := lo; m < hi; m++ {
-			gm, vgm, conducts := a.contribution(m)
-			if !conducts {
-				continue
-			}
-			if vgm-vg*gm < -1e-9 {
+		for _, m := range t[lo:hi] {
+			if m.Conducts && m.VG-vg*m.G < -1e-9 {
 				return true
 			}
 		}

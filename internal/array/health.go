@@ -76,17 +76,3 @@ func (a *Array) FailedCount() int {
 	}
 	return n
 }
-
-// contribution returns the Norton parameters (conductance g = 1/R and
-// source term voc·g) of module i, honouring its health.
-func (a *Array) contribution(i int) (g, vg float64, conducts bool) {
-	switch a.healthOf(i) {
-	case FailedOpen:
-		return 0, 0, false
-	case FailedShort:
-		return 1 / shortResistance, 0, true
-	default:
-		r := a.Spec.R(a.Ops[i])
-		return 1 / r, a.Spec.Voc(a.Ops[i]) / r, true
-	}
-}

@@ -53,7 +53,7 @@ func TestEquivalentIntoMatchesEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.EquivalentInto(&reused, cfg); err != nil {
+		if err := a.TermsInto(nil).EquivalentInto(&reused, cfg); err != nil {
 			t.Fatal(err)
 		}
 		if reused.Voc != want.Voc || reused.R != want.R || reused.Broken != want.Broken {
@@ -89,7 +89,7 @@ func TestModuleCurrentsIntoMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf = a.ModuleCurrentsInto(buf, eq, cfg, iOut)
+		buf = a.TermsInto(nil).ModuleCurrentsInto(buf, eq, cfg, iOut)
 		if len(buf) != len(want) {
 			t.Fatalf("trial %d: %d vs %d currents", trial, len(buf), len(want))
 		}
@@ -116,10 +116,11 @@ func TestConversionEfficiencyAtMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.EquivalentInto(&eq, cfg); err != nil {
+		terms := a.TermsInto(nil)
+		if err := terms.EquivalentInto(&eq, cfg); err != nil {
 			t.Fatal(err)
 		}
-		buf = a.ModuleCurrentsInto(buf, eq, cfg, iOut)
+		buf = terms.ModuleCurrentsInto(buf, eq, cfg, iOut)
 		got, err := a.ConversionEfficiencyAt(eq, cfg, iOut, buf)
 		if err != nil {
 			t.Fatal(err)

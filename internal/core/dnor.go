@@ -139,7 +139,7 @@ func (c *DNOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 
 	// Invoke INOR(Ti) for the candidate. cand aliases the scratch winner
 	// buffers: anything held past this Decide must be copied (adopt).
-	cand, candOp, err := c.eval.configureTempsAt(c.sc, tempsC, ambientC, false)
+	cand, candOp, found, err := c.eval.configureTempsAt(c.sc, tempsC, ambientC, false)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -170,11 +170,10 @@ func (c *DNOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 	c.window = append(c.window, forecast...)
 	window := c.window
 
-	eOld, err := c.windowEnergy(old, window, ambientC)
-	if err != nil {
-		return Decision{}, err
-	}
-	eNew, err := c.windowEnergy(cand, window, ambientC)
+	// Step 0's temperatures are the ones the search just priced cand
+	// at, so its delivered power is reused — unless cand is the
+	// all-parallel fallback, which the search never priced.
+	eOld, eNew, err := c.windowEnergies(old, cand, candOp.Delivered, found, window, ambientC)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -202,23 +201,36 @@ func (c *DNOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 	return d, nil
 }
 
-// windowEnergy prices a configuration over a window of (predicted)
-// temperature distributions: Σ delivered-power × tick length. It runs
-// entirely over the controller's scratch — cfg may alias the scratch
-// winner buffers (the candidate does), which the pricing never touches.
-func (c *DNOR) windowEnergy(cfg array.Config, window [][]float64, ambientC float64) (float64, error) {
-	total := 0.0
-	for _, temps := range window {
+// windowEnergies prices the incumbent old and the candidate cand over a
+// window of (predicted) temperature distributions in one pass: each
+// step's operating points and Norton slab are built once and both
+// configurations are priced off them, Σ delivered-power × tick length
+// each, without reverse scans (the energies do not depend on them).
+// When known0 is set, cand0 is cand's delivered power at step 0,
+// already known to the caller. It runs entirely over the controller's
+// scratch — cand may alias the scratch winner buffers, which the
+// pricing never touches.
+func (c *DNOR) windowEnergies(old, cand array.Config, cand0 float64, known0 bool, window [][]float64, ambientC float64) (eOld, eNew float64, err error) {
+	sc := c.sc
+	for k, temps := range window {
 		// The evaluator's spec was validated at construction, so the
 		// Array value is assembled in place over the reused scratch
 		// buffer instead of going through array.New every step.
-		c.sc.ops = teg.OpsFromTempsInto(c.sc.ops, temps, ambientC)
-		c.sc.arr = array.Array{Spec: c.eval.Spec, Ops: c.sc.ops}
-		op, err := c.eval.bestAt(c.sc, &c.sc.arr, cfg)
+		sc.ops = teg.OpsFromTempsInto(sc.ops, temps, ambientC)
+		sc.arr = array.Array{Spec: c.eval.Spec, Ops: sc.ops}
+		sc.terms = sc.arr.TermsInto(sc.terms)
+		pOld, err := c.eval.deliveredAt(sc, old)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		total += op.Delivered * c.tickSecs
+		pNew := cand0
+		if k > 0 || !known0 {
+			if pNew, err = c.eval.deliveredAt(sc, cand); err != nil {
+				return 0, 0, err
+			}
+		}
+		eOld += pOld * c.tickSecs
+		eNew += pNew * c.tickSecs
 	}
-	return total, nil
+	return eOld, eNew, nil
 }

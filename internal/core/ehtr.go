@@ -40,7 +40,7 @@ func (c *EHTR) Reset() {}
 // and is valid until the next Decide.
 func (c *EHTR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, error) {
 	start := time.Now()
-	cfg, op, err := c.eval.configureTempsAt(c.sc, tempsC, ambientC, true)
+	cfg, op, _, err := c.eval.configureTempsAt(c.sc, tempsC, ambientC, true)
 	if err != nil {
 		return Decision{}, err
 	}

@@ -49,13 +49,23 @@ type Operating struct {
 
 // Best locates the delivered-power maximum of cfg on the given array.
 // The search is a coarse scan refined by golden section, robust to the
-// converter's input-window cliff; currents that reverse-drive any module
-// are excluded unless nothing else is feasible. Best is the convenience
-// form for one-off questions; the deciders run the same arithmetic
-// through their per-controller scratch (bestAt) so the per-period hot
-// path allocates nothing.
+// converter's input-window cliff. Best does not avoid currents that
+// reverse-drive a module; it flags them in Operating.Reverse, and the
+// deciders' candidate search (configureAt) is what prefers clean
+// configurations. Best is the convenience form for one-off questions;
+// the deciders run the same arithmetic through their per-controller
+// scratch so the per-period hot path allocates nothing.
 func (e *Evaluator) Best(arr *array.Array, cfg array.Config) (Operating, error) {
-	return e.bestAt(newScratch(e), arr, cfg)
+	sc := newScratch(e)
+	sc.terms = arr.TermsInto(nil)
+	if err := sc.terms.EquivalentInto(&sc.eq, cfg); err != nil {
+		return Operating{}, err
+	}
+	op, searched := e.maxDelivered(sc)
+	if searched {
+		op.Reverse = sc.terms.HasReverseCurrentAt(sc.eq, cfg, op.Current)
+	}
+	return op, nil
 }
 
 // GroupWindow derives Algorithm 1's [nmin, nmax] from the converter's

@@ -45,7 +45,7 @@ func (c *INOR) Reset() {}
 // the controller's scratch and is valid until the next Decide.
 func (c *INOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, error) {
 	start := time.Now()
-	cfg, op, err := c.eval.configureTempsAt(c.sc, tempsC, ambientC, false)
+	cfg, op, _, err := c.eval.configureTempsAt(c.sc, tempsC, ambientC, false)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -63,5 +63,6 @@ func (c *INOR) Decide(tick int, tempsC []float64, ambientC float64) (Decision, e
 // The convenience form allocates its own work state; the deciders run
 // the identical search through their per-controller scratch.
 func (e *Evaluator) Configure(tempsC []float64, ambientC float64) (array.Config, Operating, error) {
-	return e.configureTempsAt(newScratch(e), tempsC, ambientC, false)
+	cfg, op, _, err := e.configureTempsAt(newScratch(e), tempsC, ambientC, false)
+	return cfg, op, err
 }

@@ -110,27 +110,30 @@ func (m *MLR) fit() error {
 	if m.perModule {
 		return m.fitPerModule()
 	}
-	samples := arDataset(m.hist, m.order)
-	if len(samples) == 0 {
+	// The pooled AR pairs of arDataset, modules interleaved within each
+	// tick. A strided subsample keeps coverage across ticks and modules;
+	// only the kept pairs are built, straight into the design matrix.
+	t, n := m.hist.Len(), m.hist.Modules()
+	total := (t - m.order) * n
+	if t <= m.order || total == 0 {
 		return ErrNotReady
 	}
-	if len(samples) > m.maxSamples {
-		// Strided subsample keeps coverage across ticks and modules
-		// (arDataset interleaves modules within each tick).
-		stride := (len(samples) + m.maxSamples - 1) / m.maxSamples
-		kept := samples[:0:0]
-		for i := 0; i < len(samples); i += stride {
-			kept = append(kept, samples[i])
-		}
-		samples = kept
+	stride := 1
+	if total > m.maxSamples {
+		stride = (total + m.maxSamples - 1) / m.maxSamples
 	}
-	a := linalg.NewMatrix(len(samples), m.order+1)
-	b := make([]float64, len(samples))
-	for r, s := range samples {
+	rows := (total + stride - 1) / stride
+	a := linalg.NewMatrix(rows, m.order+1)
+	b := make([]float64, rows)
+	for r := range b {
+		s := r * stride
+		end, mod := m.order+s/n, s%n
 		row := a.Row(r)
-		copy(row, s.x)
+		for k := 0; k < m.order; k++ {
+			row[k] = m.hist.Tick(end - m.order + k)[mod]
+		}
 		row[m.order] = 1 // intercept
-		b[r] = s.y
+		b[r] = m.hist.Tick(end)[mod]
 	}
 	coef, err := linalg.RidgeLeastSquares(a, b, m.ridge)
 	if err != nil {

@@ -99,6 +99,7 @@ func newFleet(jobs []FleetJob) (*Fleet, int, error) {
 		sensed   = make([]float64, total)
 		currents = make([]float64, total)
 		ops      = make([]teg.OperatingPoint, total)
+		terms    = make(array.Terms, total)
 		prev     = make([]int, total)
 		groups   = make([]array.GroupEquivalent, total)
 	)
@@ -115,6 +116,7 @@ func newFleet(jobs []FleetJob) (*Fleet, int, error) {
 		sc.sensed = sensed[off : off : off+n]
 		sc.currents = currents[off : off : off+n]
 		sc.ops = ops[off : off : off+n]
+		sc.terms = terms[off : off : off+n]
 		sc.prevStarts = prev[off : off : off+n]
 		sc.eq.Groups = groups[off : off : off+n]
 		off += n

@@ -10,7 +10,8 @@ import (
 // scratch is the per-session reusable work state of the tick loop:
 // every buffer Step needs — the module-bank temperature vector, the
 // noisy controller view, the operating points, the Thevenin equivalent,
-// the module currents of the efficiency accounting, the copy of the
+// the per-module Norton slab, the module currents of the efficiency
+// accounting, the copy of the
 // previous topology and the delivered-power closure handed to the MPPT
 // — lives here and is overwritten in place each control period, so a
 // steady-state Step performs no heap allocation (see
@@ -26,6 +27,7 @@ type scratch struct {
 	temps      []float64            // true module hot-side temperatures, °C
 	sensed     []float64            // noisy controller view of temps
 	ops        []teg.OperatingPoint // plant operating points from temps
+	terms      array.Terms          // per-module Norton slab of arr
 	currents   []float64            // per-module currents for the efficiency accounting
 	prevStarts []int                // session-owned copy of the previous topology
 	eq         array.Equivalent     // Thevenin equivalent of the decided config
