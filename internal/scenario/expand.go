@@ -177,8 +177,7 @@ func cellCoord(cycleID, scheme string, amb AmbientSpec, fl FlowSpec, faultID str
 // expandState caches the expensive intermediates shared across cells:
 // generated base traces (per cycle × ambient), coolant-offset and
 // path-scaled variants, one sim.System per array size (all sharing one
-// radiator pointer, which is what lets same-plant cells route onto the
-// lockstep fleet), and per-cell fault plans.
+// radiator pointer), and per-cell fault plans.
 type expandState struct {
 	m       *Matrix
 	systems map[int]*sim.System
@@ -283,8 +282,8 @@ func (st *expandState) flowWeights(fl FlowSpec) ([]float64, error) {
 }
 
 // system recalls the shared plant for one array size. Systems differ
-// only in module count and share the one radiator, so every cell of
-// one size is lockstep-eligible with every other.
+// only in module count and share the one radiator, so a matrix holds
+// one plant per size however many cells it has.
 func (st *expandState) system(modules int) *sim.System {
 	if sys, ok := st.systems[modules]; ok {
 		return sys

@@ -22,6 +22,13 @@ import (
 // simply stops matching.
 const keyVersion = "tegserve/v1"
 
+// physicsDigest is the SHA-256 of the serialized results of a fixed set
+// of short deterministic runs and a small scenario matrix (see
+// TestPhysicsDigestMatchesKeyVersion), recorded under keyVersion. A
+// mismatch means the physics behind cached results changed: bump
+// keyVersion and re-record this digest.
+const physicsDigest = "5e2294fcf6c80d0472b5dd032706b1d768fc724c3b46c543e3fab3f4666aaa78"
+
 type keyBuilder struct{ b strings.Builder }
 
 func (k *keyBuilder) str(name, v string)            { k.b.WriteString("|" + name + "=" + v) }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tegrecon/internal/core"
+	"tegrecon/internal/trace"
 )
 
 func newEHTR(t *testing.T, sys *System) core.Controller {
@@ -120,5 +121,24 @@ func TestBatchEmpty(t *testing.T) {
 	rs, err := Batch{}.Run(nil)
 	if err != nil || rs != nil {
 		t.Errorf("empty batch: %v, %v", rs, err)
+	}
+}
+
+func TestBatchRejectsShortTrace(t *testing.T) {
+	sys := DefaultSystem()
+	tr := shortTrace(t)
+	short := &trace.Trace{Channels: tr.Channels, Times: tr.Times[:1], Values: tr.Values[:1]}
+	for _, workers := range []int{1, 4} {
+		jobs := []Job{
+			{Sys: sys, Trace: tr, Ctrl: newBaseline(t, sys), Opts: DefaultOptions()},
+			{Sys: sys, Trace: short, Ctrl: newBaseline(t, sys), Opts: DefaultOptions()},
+		}
+		rs, err := Batch{Workers: workers}.Run(jobs)
+		if err == nil || rs != nil {
+			t.Fatalf("workers=%d: one-sample trace not rejected (%v, %v)", workers, rs, err)
+		}
+		if !strings.Contains(err.Error(), "job 1") || !strings.Contains(err.Error(), "trace too short") {
+			t.Errorf("workers=%d: error %q does not name the short-trace job", workers, err)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"tegrecon/internal/array"
 	"tegrecon/internal/converter"
-	"tegrecon/internal/core"
 	"tegrecon/internal/teg"
 )
 
@@ -33,15 +32,6 @@ type scratch struct {
 	eq         array.Equivalent     // Thevenin equivalent of the decided config
 	arr        array.Array          // plant array assembled in place over ops
 	conv       converter.Model      // this tick's converter (charge stage may retarget it)
-
-	// Per-tick transients carried between the phase methods of
-	// Session.Step (tickTemps → tickSense → tickDecide → tickAct), so
-	// the lockstep fleet can run one phase across every member before
-	// starting the next. health aliases the fault tracker's storage;
-	// dec.Config aliases the controller's (both stable until the owning
-	// session's next tick).
-	health []array.ModuleHealth // this tick's true module health, nil when unfaulted
-	dec    core.Decision        // this tick's controller decision
 
 	// deliver is the converter-weighted delivered power at array output
 	// current i for the equivalent currently in eq — the P(I) objective

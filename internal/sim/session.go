@@ -19,9 +19,8 @@ import (
 // system, stepped one control period at a time. Where Run consumes a
 // complete pre-built trace, a Session is fed its radiator boundary
 // conditions call by call, so it can be driven from live telemetry,
-// checkpointed mid-run (Result is callable at any point), interleaved
-// with thousands of siblings, or simply replayed from a trace — which is
-// exactly what Run now does.
+// checkpointed mid-run (Result is callable at any point), or simply
+// replayed from a trace — which is exactly what Run does.
 //
 // The paper's controllers are online algorithms deciding a topology
 // every 0.5 s from the temperatures of that instant; Session is the
@@ -145,19 +144,20 @@ func (s *Session) Step(cond thermal.Conditions) (Tick, error) {
 	if err := s.tickTemps(cond); err != nil {
 		return Tick{}, err
 	}
-	if err := s.tickSense(cond); err != nil {
+	health, err := s.tickSense(cond)
+	if err != nil {
 		return Tick{}, err
 	}
-	if err := s.tickDecide(cond); err != nil {
+	dec, err := s.tickDecide(cond)
+	if err != nil {
 		return Tick{}, err
 	}
-	return s.tickAct(cond)
+	return s.tickAct(cond, health, dec)
 }
 
 // tickTemps is Step's plant-input phase: solve the radiator under this
 // period's boundary conditions into the scratch's module-temperature
-// row. The fleet engine replaces this phase with one shared solve per
-// distinct (radiator, conditions) pair.
+// row.
 func (s *Session) tickTemps(cond thermal.Conditions) error {
 	timed := s.phaseTimed()
 	var t0 time.Time
@@ -177,20 +177,22 @@ func (s *Session) tickTemps(cond thermal.Conditions) error {
 
 // tickSense is Step's measurement phase: advance the fault plan to the
 // session clock and build the controller's noisy view of the module
-// temperatures, masking dead modules to ambient.
-func (s *Session) tickSense(cond thermal.Conditions) error {
+// temperatures, masking dead modules to ambient. It returns this
+// tick's true module health (nil when unfaulted), which aliases the
+// fault tracker's storage until the next advance.
+func (s *Session) tickSense(cond thermal.Conditions) ([]array.ModuleHealth, error) {
 	timed := s.phaseTimed()
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
 	}
 	sc := s.sc
-	sc.health = nil
+	var health []array.ModuleHealth
 	if s.faultTracker != nil {
 		var err error
-		sc.health, _, err = s.faultTracker.AdvanceTo(s.Now())
+		health, _, err = s.faultTracker.AdvanceTo(s.Now())
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if cap(sc.sensed) < len(sc.temps) {
@@ -204,7 +206,7 @@ func (s *Session) tickSense(cond thermal.Conditions) error {
 	s.rngDraws += int64(len(sc.temps))
 	for i, tv := range sc.temps {
 		sc.sensed[i] = tv + s.rng.NormFloat64()*s.opts.SensorNoiseC
-		if sc.health != nil && sc.health[i] != array.Healthy {
+		if health != nil && health[i] != array.Healthy {
 			// Fault detection: the controller sees a dead module as one
 			// at ambient (zero harvestable ΔT).
 			sc.sensed[i] = cond.AirInletC
@@ -213,34 +215,34 @@ func (s *Session) tickSense(cond thermal.Conditions) error {
 	if timed {
 		s.phases.SenseNs += time.Since(t0).Nanoseconds()
 	}
-	return nil
+	return health, nil
 }
 
 // tickDecide is Step's control phase: ask the controller for this
-// period's topology. The decision (whose Config aliases controller
-// storage until the next Decide) is parked on the scratch for tickAct.
-func (s *Session) tickDecide(cond thermal.Conditions) error {
+// period's topology. The decision's Config aliases controller storage
+// until the next Decide.
+func (s *Session) tickDecide(cond thermal.Conditions) (core.Decision, error) {
 	timed := s.phaseTimed()
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
 	}
-	var err error
-	s.sc.dec, err = s.ctrl.Decide(s.steps, s.sc.sensed, cond.AirInletC)
+	dec, err := s.ctrl.Decide(s.steps, s.sc.sensed, cond.AirInletC)
 	if err != nil {
-		return fmt.Errorf("sim: %s at t=%g: %w", s.ctrl.Name(), s.Now(), err)
+		return core.Decision{}, fmt.Errorf("sim: %s at t=%g: %w", s.ctrl.Name(), s.Now(), err)
 	}
 	if timed {
 		s.phases.DecideNs += time.Since(t0).Nanoseconds()
 	}
-	return nil
+	return dec, nil
 }
 
 // tickAct is Step's plant-and-accounting phase: operate the decided
-// configuration through the MPPT and converter into the battery, charge
-// the switching overhead, and commit the period into the Result
-// accumulators and the session clock.
-func (s *Session) tickAct(cond thermal.Conditions) (Tick, error) {
+// configuration on the plant with the true module health through the
+// MPPT and converter into the battery, charge the switching overhead,
+// and commit the period into the Result accumulators and the session
+// clock.
+func (s *Session) tickAct(cond thermal.Conditions, health []array.ModuleHealth, dec core.Decision) (Tick, error) {
 	timed := s.phaseTimed()
 	var t0 time.Time
 	if timed {
@@ -248,7 +250,6 @@ func (s *Session) tickAct(cond thermal.Conditions) (Tick, error) {
 	}
 	now := s.Now()
 	sc := s.sc
-	dec, health := sc.dec, sc.health
 	var err error
 	computeTime := dec.ComputeTime
 	if s.opts.DeterministicRuntime {

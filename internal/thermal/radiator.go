@@ -198,10 +198,8 @@ func (r *Radiator) ModuleTempsInto(dst []float64, c Conditions, n int) ([]float6
 // the n module temperatures under conds[i], and dst's backing storage
 // is reused when its capacity suffices. Rows with identical conditions
 // share one radiator solve — the Eq. (1) distribution is a pure
-// function of the conditions, so the copy is bit-identical — which is
-// what makes batch-stepping many same-scenario plants cheap (the bank's
-// per-path evaluation and the lockstep fleet's phase-1 dedup are this
-// pattern).
+// function of the conditions, so the copy is bit-identical. Bank's
+// per-path evaluation (Bank.ModuleTempsInto) is built on it.
 func (r *Radiator) ModuleTempsBatchInto(dst []float64, conds []Conditions, n int) ([]float64, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("thermal: non-positive module count %d", n)
