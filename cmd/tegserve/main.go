@@ -31,11 +31,12 @@
 // -store-dir adds a persistent content-addressed disk tier under the
 // in-memory cache: results survive restarts bit-exactly and are shared
 // (with cross-process single-flight) by every tegserve pointed at the
-// same directory. -worker-peers turns the process into a sweep/matrix
-// coordinator that shards grid cells across the listed plain-worker
-// tegserve processes over POST /v1/shards, merging their partial
-// results into the same byte-identical envelope a single process
-// produces and recomputing locally any shard whose worker dies. See
+// same directory. -worker-peers turns the process into a coordinator
+// that shards the missing cells of every matrix (and of every sweep,
+// which runs as a matrix) across the listed plain-worker tegserve
+// processes over POST /v1/shards, merging the returned cells into the
+// same byte-identical envelope a single process produces and
+// recomputing locally any shard whose worker dies. See
 // docs/DISTRIBUTION.md.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight simulations abort within
@@ -81,7 +82,7 @@ func main() {
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = off; keep it loopback-only)")
 		storeDir     = flag.String("store-dir", "", "persistent content-addressed result store directory (empty = memory-only cache)")
 		storeMaxMB   = flag.Int64("store-max-mb", 4096, "disk store byte budget in MiB; least-recently-used payloads are evicted above it")
-		workerPeers  = flag.String("worker-peers", "", "comma-separated base URLs of worker tegserve processes to shard sweeps and matrices across (empty = compute locally)")
+		workerPeers  = flag.String("worker-peers", "", "comma-separated base URLs of worker tegserve processes to shard matrix and sweep cells across (empty = compute locally)")
 	)
 	flag.Parse()
 

@@ -239,8 +239,8 @@ func (m *Matrix) Normalize() (*Matrix, error) {
 	if n.HorizonTicks == 0 {
 		n.HorizonTicks = 4
 	}
-	if n.HorizonTicks < 1 || n.HorizonTicks > 10000 {
-		return nil, specErrf("horizon_ticks %d outside [1, 10000]", n.HorizonTicks)
+	if n.HorizonTicks < 1 || n.HorizonTicks > sim.MaxHorizonTicks {
+		return nil, specErrf("horizon_ticks %d outside [1, %d]", n.HorizonTicks, sim.MaxHorizonTicks)
 	}
 	if err := checkFinite("max_duration_s", n.MaxDurationS); err != nil {
 		return nil, err

@@ -14,6 +14,7 @@ import (
 	"net/http"
 
 	"tegrecon/internal/drive"
+	"tegrecon/internal/scenario"
 	"tegrecon/internal/sim"
 )
 
@@ -37,7 +38,8 @@ type RunRequest struct {
 	SensorNoiseC *float64 `json:"sensor_noise_c,omitempty"`
 	// Modules is the TEG module count (0 → 100).
 	Modules int `json:"modules,omitempty"`
-	// HorizonTicks is DNOR's prediction horizon (0 → 4).
+	// HorizonTicks is DNOR's prediction horizon (0 → 4, at most
+	// sim.MaxHorizonTicks).
 	HorizonTicks int `json:"horizon_ticks,omitempty"`
 	// Battery terminates the chain in the lead-acid battery.
 	Battery bool `json:"battery,omitempty"`
@@ -55,10 +57,10 @@ type RunRequest struct {
 	Stream bool `json:"stream,omitempty"`
 }
 
-// SweepRequest is the POST /v1/sweeps body: a cycle × scheme matrix on
-// the batch engine. Sweeps always run with deterministic runtime
-// pricing (a worker pool makes measured runtimes meaningless), so every
-// sweep is cacheable.
+// SweepRequest is the POST /v1/sweeps body: a cycle × scheme grid. It
+// compiles to a scenario matrix (normalizeSweep) and runs through the
+// matrix path, so its cells are seeded per coordinate, cached per cell
+// and sharded like any matrix's, and every sweep is cacheable.
 type SweepRequest struct {
 	// Cycles selects workloads by name; empty runs every registered
 	// cycle.
@@ -90,18 +92,6 @@ type runParams struct {
 	keepTicks  bool
 }
 
-// sweepParams is a SweepRequest after normalization.
-type sweepParams struct {
-	cycles       []drive.Cycle
-	schemes      []string // canonical registry names
-	maxDurationS float64
-	tickS        float64
-	noiseC       float64
-	seed         int64
-	modules      int
-	horizon      int
-}
-
 // httpError is a client-visible failure with its status code.
 type httpError struct {
 	status int
@@ -117,8 +107,8 @@ func errf(status int, format string, args ...any) *httpError {
 // defaultOpts mirrors the paper's settings the API defaults to.
 var defaultOpts = sim.DefaultOptions()
 
-// normalizeShared validates the knobs runs and sweeps share, applying
-// defaults in place.
+// normalizeShared validates the knobs runs and twin sessions share,
+// applying defaults in place.
 func (s *Server) normalizeShared(tickS *float64, seed **int64, noise **float64, modules, horizon *int) *httpError {
 	if *tickS == 0 {
 		*tickS = defaultOpts.TickSeconds
@@ -152,8 +142,8 @@ func (s *Server) normalizeShared(tickS *float64, seed **int64, noise **float64, 
 	if *horizon == 0 {
 		*horizon = 4
 	}
-	if *horizon < 0 {
-		return errf(http.StatusBadRequest, "horizon_ticks %d is negative", *horizon)
+	if *horizon < 0 || *horizon > sim.MaxHorizonTicks {
+		return errf(http.StatusBadRequest, "horizon_ticks %d outside 0..%d", *horizon, sim.MaxHorizonTicks)
 	}
 	return nil
 }
@@ -220,54 +210,53 @@ func (s *Server) normalizeRun(req RunRequest) (runParams, *httpError) {
 	return p, nil
 }
 
-func (s *Server) normalizeSweep(req SweepRequest) (sweepParams, *httpError) {
-	var p sweepParams
-	if math.IsNaN(req.MaxDurationS) || math.IsInf(req.MaxDurationS, 0) || req.MaxDurationS < 0 {
-		return p, errf(http.StatusBadRequest, "max_duration_s %g is not a non-negative finite number", req.MaxDurationS)
+// normalizeSweep compiles a sweep into the scenario matrix it is: the
+// named cycles in request order (empty → every registered cycle) × the
+// schemes, at one array size under the default ambient, flow and fault
+// points, then admits it through normalizeMatrix. A cap at or past the
+// longest selected cycle compiles to 0, so "cap past the end" and "no
+// cap" are one matrix and share a key.
+func (s *Server) normalizeSweep(req SweepRequest) (matrixParams, *httpError) {
+	capS := req.MaxDurationS
+	if math.IsNaN(capS) || math.IsInf(capS, 0) || capS < 0 {
+		return matrixParams{}, errf(http.StatusBadRequest, "max_duration_s %g is not a non-negative finite number", capS)
 	}
-	if herr := s.normalizeShared(&req.TickS, &req.Seed, &req.SensorNoiseC, &req.Modules, &req.HorizonTicks); herr != nil {
-		return p, herr
+	tickS := req.TickS
+	if tickS == 0 {
+		tickS = defaultOpts.TickSeconds
 	}
-	if len(req.Cycles) == 0 {
-		p.cycles = drive.Cycles()
-	} else {
-		for _, name := range req.Cycles {
-			c, err := drive.CycleByName(name)
-			if err != nil {
-				return sweepParams{}, errf(http.StatusBadRequest, "%v", err)
-			}
-			p.cycles = append(p.cycles, c)
+	if capS > 0 && (capS < 1 || capS < tickS) {
+		return matrixParams{}, errf(http.StatusBadRequest, "max_duration_s %g is shorter than one control period (min 1 s and ≥ tick_s)", capS)
+	}
+	names := req.Cycles
+	if len(names) == 0 {
+		names = drive.CycleNames()
+	}
+	m := scenario.Matrix{
+		TickS:        req.TickS,
+		SensorNoiseC: req.SensorNoiseC,
+		HorizonTicks: req.HorizonTicks,
+		Schemes:      req.Schemes,
+	}
+	longest := 0.0
+	for _, name := range names {
+		c, err := drive.CycleByName(name)
+		if err != nil {
+			return matrixParams{}, errf(http.StatusBadRequest, "%v", err)
 		}
+		longest = math.Max(longest, c.DurationS)
+		m.Cycles = append(m.Cycles, scenario.CycleSpec{Name: c.Name})
 	}
-	if len(req.Schemes) == 0 {
-		p.schemes = sim.SchemeNames()
-	} else {
-		for _, name := range req.Schemes {
-			sch, err := sim.SchemeByName(name)
-			if err != nil {
-				return sweepParams{}, errf(http.StatusBadRequest, "%v", err)
-			}
-			p.schemes = append(p.schemes, sch.Name)
-		}
+	if capS < longest {
+		m.MaxDurationS = capS
 	}
-	if req.MaxDurationS > 0 && (req.MaxDurationS < 1 || req.MaxDurationS < req.TickS) {
-		return sweepParams{}, errf(http.StatusBadRequest, "max_duration_s %g is shorter than one control period (min 1 s and ≥ tick_s)", req.MaxDurationS)
+	if req.Seed != nil {
+		m.Seed = *req.Seed
 	}
-	p.maxDurationS = req.MaxDurationS
-	p.tickS = req.TickS
-	p.noiseC = *req.SensorNoiseC
-	p.seed = *req.Seed
-	p.modules = req.Modules
-	p.horizon = req.HorizonTicks
-	total := 0.0
-	for _, c := range p.cycles {
-		total += ticksFor(effectiveDuration(c, p.maxDurationS), p.tickS)
+	if req.Modules != 0 {
+		m.ArraySizes = []int{req.Modules}
 	}
-	total *= float64(len(p.schemes))
-	if total > float64(s.cfg.MaxTicksPerJob) {
-		return sweepParams{}, errf(http.StatusBadRequest, "sweep spans %.0f control periods, over the server's %d limit — cap max_duration_s or select fewer cycles", total, s.cfg.MaxTicksPerJob)
-	}
-	return p, nil
+	return s.normalizeMatrix(MatrixRequest{Matrix: m})
 }
 
 // decodeJSON reads a bounded request body strictly: unknown fields are

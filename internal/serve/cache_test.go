@@ -275,28 +275,50 @@ func TestCanonicalKeys(t *testing.T) {
 	}
 
 	// Sweep keys: order of cycles/schemes is part of the identity.
-	sw1, herr := s.normalizeSweep(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"inor", "dnor"}, MaxDurationS: 10})
-	if herr != nil {
-		t.Fatal(herr)
+	sweepKey := func(req SweepRequest) string {
+		t.Helper()
+		p, herr := s.normalizeSweep(req)
+		if herr != nil {
+			t.Fatal(herr)
+		}
+		k, err := specKey("sweep", p.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
 	}
-	sw2, _ := s.normalizeSweep(SweepRequest{Cycles: []string{"wltc", "nedc"}, Schemes: []string{"inor", "dnor"}, MaxDurationS: 10})
-	if sweepKey(sw1) == sweepKey(sw2) {
+	sw1 := sweepKey(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"inor", "dnor"}, MaxDurationS: 10})
+	sw2 := sweepKey(SweepRequest{Cycles: []string{"wltc", "nedc"}, Schemes: []string{"inor", "dnor"}, MaxDurationS: 10})
+	if sw1 == sw2 {
 		t.Fatal("cycle order did not change the sweep key")
 	}
-	sw3, _ := s.normalizeSweep(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"INOR", "DNOR"}, MaxDurationS: 10})
-	if sweepKey(sw1) != sweepKey(sw3) {
+	sw3 := sweepKey(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"INOR", "DNOR"}, MaxDurationS: 10})
+	if sw1 != sw3 {
 		t.Fatal("scheme name case changed the sweep key")
 	}
 	// A cap past every schedule end is physically the same sweep as no
 	// cap; a cap between two cycle lengths is not.
-	swFull, _ := s.normalizeSweep(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"inor"}})
-	swHuge, _ := s.normalizeSweep(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"inor"}, MaxDurationS: 1e6})
-	if sweepKey(swFull) != sweepKey(swHuge) {
+	swFull := sweepKey(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"inor"}})
+	swHuge := sweepKey(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"inor"}, MaxDurationS: 1e6})
+	if swFull != swHuge {
 		t.Fatal("past-the-end sweep cap hashed differently from no cap")
 	}
-	swMid, _ := s.normalizeSweep(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"inor"}, MaxDurationS: 1500})
-	if sweepKey(swMid) == sweepKey(swFull) {
+	swMid := sweepKey(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"inor"}, MaxDurationS: 1500})
+	if swMid == swFull {
 		t.Fatal("a cap that truncates only the wltc did not change the key")
+	}
+	// Seed 0 takes the matrix default (7), like an omitted seed.
+	zero, seven := int64(0), int64(7)
+	swSeed0 := sweepKey(SweepRequest{Cycles: []string{"nedc"}, Schemes: []string{"inor"}, MaxDurationS: 10, Seed: &zero})
+	swSeed7 := sweepKey(SweepRequest{Cycles: []string{"nedc"}, Schemes: []string{"inor"}, MaxDurationS: 10, Seed: &seven})
+	if swSeed0 != swSeed7 {
+		t.Fatal("seed 0 did not share seed 7's sweep key")
+	}
+	// A sweep and the matrix it compiles to answer different envelopes,
+	// so they never share an envelope key.
+	p, _ := s.normalizeSweep(SweepRequest{Cycles: []string{"nedc", "wltc"}, Schemes: []string{"inor", "dnor"}, MaxDurationS: 10})
+	if mk, _ := specKey("matrix", p.m); mk == sw1 {
+		t.Fatal("sweep and matrix envelopes share a key")
 	}
 }
 

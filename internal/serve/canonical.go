@@ -3,6 +3,7 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"strconv"
 	"strings"
 
@@ -31,8 +32,7 @@ const physicsDigest = "5e2294fcf6c80d0472b5dd032706b1d768fc724c3b46c543e3fab3f46
 
 type keyBuilder struct{ b strings.Builder }
 
-func (k *keyBuilder) str(name, v string)            { k.b.WriteString("|" + name + "=" + v) }
-func (k *keyBuilder) strs(name string, vs []string) { k.str(name, strings.Join(vs, ",")) }
+func (k *keyBuilder) str(name, v string) { k.b.WriteString("|" + name + "=" + v) }
 func (k *keyBuilder) num(name string, v float64) {
 	// 'x' is the hexadecimal floating-point form: exact, canonical and
 	// locale-free. 0.1 encodes as 0x1.999999999999ap-04, never a rounded
@@ -86,25 +86,20 @@ func cellKey(p matrixParams, cell scenario.Cell) string {
 	return k.sum()
 }
 
-// sweepKey hashes a normalized sweep request. Cycle and scheme order
-// matter — they shape the response matrix — so they are part of the
-// identity, not sorted away. The duration cap enters as each cycle's
-// effective span, not the raw cap: a cap past every schedule end is
-// physically the same sweep as no cap at all and must share its key.
-func sweepKey(p sweepParams) string {
-	var k keyBuilder
-	k.b.WriteString(keyVersion + "/sweep")
-	names := make([]string, len(p.cycles))
-	for i, c := range p.cycles {
-		names[i] = c.Name
-		k.num("dur_"+c.Name, effectiveDuration(c, p.maxDurationS))
+// specKey hashes a canonical (normalized) matrix spec under the
+// request kind that answers it: "matrix" for a /v1/matrix envelope,
+// "sweep" for the /v1/sweeps table compiled onto the same spec.
+// Normalize is deterministic and json.Marshal of the canonical struct
+// is too, so every spelling of one request shares a key. Axis order is
+// part of the spec, so a sweep's cycle and scheme order — the row order
+// of its table — is part of its identity.
+func specKey(kind string, m *scenario.Matrix) (string, error) {
+	b, err := json.Marshal(m)
+	if err != nil {
+		return "", err
 	}
-	k.strs("cycles", names)
-	k.strs("schemes", p.schemes)
-	k.num("tick_s", p.tickS)
-	k.num("noise_c", p.noiseC)
-	k.int("seed", p.seed)
-	k.int("modules", int64(p.modules))
-	k.int("horizon", int64(p.horizon))
-	return k.sum()
+	var k keyBuilder
+	k.b.WriteString(keyVersion + "/" + kind)
+	k.str("spec", string(b))
+	return k.sum(), nil
 }

@@ -331,11 +331,12 @@ func TestShardEndpointValidation(t *testing.T) {
 		wantStatus int
 	}{
 		{"unknown kind", `{"kind":"nope"}`, http.StatusBadRequest},
-		{"matrix without spec", `{"kind":"matrix","cells":[0]}`, http.StatusBadRequest},
-		{"matrix without cells", fmt.Sprintf(`{"kind":"matrix","matrix":%s}`, distMatrixJSON), http.StatusBadRequest},
-		{"matrix cell out of range", fmt.Sprintf(`{"kind":"matrix","matrix":%s,"cells":[99]}`, distMatrixJSON), http.StatusBadRequest},
-		{"sweep without body", `{"kind":"sweep"}`, http.StatusBadRequest},
-		{"sweep bad cycle", `{"kind":"sweep","sweep":{"cycles":["nope"]}}`, http.StatusBadRequest},
+		// A coordinator that still sends the kind field gets a 400 and
+		// computes the shard locally.
+		{"legacy kind field", fmt.Sprintf(`{"kind":"matrix","matrix":%s,"cells":[0]}`, distMatrixJSON), http.StatusBadRequest},
+		{"matrix without spec", `{"cells":[0]}`, http.StatusBadRequest},
+		{"matrix without cells", fmt.Sprintf(`{"matrix":%s}`, distMatrixJSON), http.StatusBadRequest},
+		{"matrix cell out of range", fmt.Sprintf(`{"matrix":%s,"cells":[99]}`, distMatrixJSON), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -352,7 +353,7 @@ func TestShardEndpointValidation(t *testing.T) {
 // expansion, and reuses its per-cell cache across overlapping shards.
 func TestShardEndpointComputesSubset(t *testing.T) {
 	w, ts := newTestServer(t, Config{})
-	body := fmt.Sprintf(`{"kind":"matrix","matrix":%s,"cells":[1,4]}`, distMatrixJSON)
+	body := fmt.Sprintf(`{"matrix":%s,"cells":[1,4]}`, distMatrixJSON)
 	resp, b := postJSON(t, ts.URL+"/v1/shards", body)
 	if resp.StatusCode != 200 {
 		t.Fatalf("%d: %s", resp.StatusCode, b)
@@ -368,7 +369,7 @@ func TestShardEndpointComputesSubset(t *testing.T) {
 		t.Fatalf("worker simulated %d cells, want 2", got)
 	}
 	// An overlapping shard only simulates the new cell.
-	body = fmt.Sprintf(`{"kind":"matrix","matrix":%s,"cells":[1,2]}`, distMatrixJSON)
+	body = fmt.Sprintf(`{"matrix":%s,"cells":[1,2]}`, distMatrixJSON)
 	if resp, b = postJSON(t, ts.URL+"/v1/shards", body); resp.StatusCode != 200 {
 		t.Fatalf("%d: %s", resp.StatusCode, b)
 	}

@@ -78,20 +78,6 @@ func (s *Server) normalizeMatrix(req MatrixRequest) (matrixParams, *httpError) {
 	return p, nil
 }
 
-// matrixKey hashes the canonical (normalized) spec. Normalize is
-// deterministic and json.Marshal of the canonical struct is too, so
-// every spelling of the same matrix shares one envelope key.
-func matrixKey(m *scenario.Matrix) (string, error) {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return "", err
-	}
-	var k keyBuilder
-	k.b.WriteString(keyVersion + "/matrix")
-	k.str("spec", string(b))
-	return k.sum(), nil
-}
-
 // --- matrix registry (twin-style listing of recent matrices) ---
 
 // matrixCellStatus pairs a cell with its cache key for status probes.
@@ -290,10 +276,16 @@ func (s *Server) computeMatrix(ctx context.Context, ex *scenario.Expansion, keys
 	return cells, cached, nil
 }
 
-// matrixPayload claims a queue slot, computes (or recalls) every cell
-// and encodes the envelope. distribute fans missing cells out to the
-// worker peers when the server is a coordinator.
-func (s *Server) matrixPayload(ctx context.Context, p matrixParams, ex *scenario.Expansion, keys []string, distribute bool) ([]byte, int, error) {
+// gridCells serves one client-facing grid, a matrix or a compiled
+// sweep: it registers the expansion under key for status listing,
+// claims a queue slot and computes (or recalls) every cell, fanning
+// missing cells out to the worker peers when the server is a
+// coordinator. Returns the cells and how many came from cache.
+func (s *Server) gridCells(ctx context.Context, p matrixParams, key string) ([]experiments.MatrixCell, int, error) {
+	ex, keys, err := s.expandMatrix(p, key)
+	if err != nil {
+		return nil, 0, err
+	}
 	if err := s.q.acquire(ctx); err != nil {
 		return nil, 0, err
 	}
@@ -301,12 +293,7 @@ func (s *Server) matrixPayload(ctx context.Context, p matrixParams, ex *scenario
 	s.met.computations.Add(1)
 	started := time.Now()
 	defer func() { s.met.observeJob(time.Since(started)) }()
-	cells, cached, err := s.computeMatrix(ctx, ex, keys, nil, distribute)
-	if err != nil {
-		return nil, cached, err
-	}
-	payload, err := marshalMatrixEnvelope(p, cells)
-	return payload, cached, err
+	return s.computeMatrix(ctx, ex, keys, nil, true)
 }
 
 func marshalMatrixEnvelope(p matrixParams, cells []experiments.MatrixCell) ([]byte, error) {
@@ -336,7 +323,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.matrices.Add(1)
-	key, err := matrixKey(p.m)
+	key, err := specKey("matrix", p.m)
 	if err != nil {
 		s.writeJSONError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -346,43 +333,21 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		s.streamMatrix(w, r, p, key)
 		return
 	}
-	if payload, ok := s.cache.get(key); ok {
-		s.logCache(r, "hit", key)
-		writePayload(w, "hit", payload)
-		return
-	}
 	var cachedCells int
-	payload, err, shared := s.flights.do(r.Context(), key, func() ([]byte, error) {
-		if b, ok := s.cache.peek(key); ok {
-			return b, nil
-		}
-		ex, keys, err := s.expandMatrix(p, key)
+	payload, state, ok := s.cachedPayload(w, r, key, func(ctx context.Context) ([]byte, error) {
+		cells, cached, err := s.gridCells(ctx, p, key)
+		cachedCells = cached
 		if err != nil {
 			return nil, err
 		}
-		ctx, cancel := s.detachedJobContext()
-		defer cancel()
-		b, err := s.computeShared(ctx, key, func() ([]byte, error) {
-			b, cached, err := s.matrixPayload(ctx, p, ex, keys, true)
-			cachedCells = cached
-			return b, err
-		})
-		if err == nil {
-			s.cache.put(key, b)
-		}
-		return b, err
+		return marshalMatrixEnvelope(p, cells)
 	})
-	if err != nil {
-		s.writeJobError(w, r, err)
+	if !ok {
 		return
 	}
-	state := "miss"
-	if shared {
-		state = "coalesced"
-		s.met.coalesced.Add(1)
+	if state != "hit" {
+		w.Header().Set("X-Matrix-Cells-Cached", strconv.Itoa(cachedCells))
 	}
-	s.logCache(r, state, key)
-	w.Header().Set("X-Matrix-Cells-Cached", strconv.Itoa(cachedCells))
 	writePayload(w, state, payload)
 }
 

@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
+	"tegrecon/internal/experiments"
+	"tegrecon/internal/report"
 	"tegrecon/internal/scenario"
 )
 
@@ -110,11 +113,11 @@ func TestMatrixKeySurfaceFormInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ka, err := matrixKey(na)
+	ka, err := specKey("matrix", na)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb, err := matrixKey(nb)
+	kb, err := specKey("matrix", nb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,5 +425,104 @@ func TestMatrixMetrics(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Fatalf("metrics output missing %q", want)
 		}
+	}
+}
+
+// TestSweepServesMatrixCells: a sweep is the matrix it compiles to.
+// After the equivalent (or a covering) matrix has run, the sweep
+// simulates nothing, and every row it returns is the rendering of the
+// matrix cell with the same cycle and scheme, in request order.
+func TestSweepServesMatrixCells(t *testing.T) {
+	cases := []struct {
+		name, matrix, sweep string
+		modules             int
+		rows                [][2]string // (cycle, scheme) in request order
+	}{
+		{
+			name:    "default schemes, mixed-case cycles",
+			matrix:  `{"cycles":[{"name":"delivery"},{"name":"nedc"}],"max_duration_s":6,"array_sizes":[20]}`,
+			sweep:   `{"cycles":["Delivery","NEDC"],"max_duration_s":6,"modules":20}`,
+			modules: 20,
+			rows: [][2]string{
+				{"delivery", "Baseline"}, {"delivery", "INOR"}, {"delivery", "DNOR"}, {"delivery", "EHTR"},
+				{"nedc", "Baseline"}, {"nedc", "INOR"}, {"nedc", "DNOR"}, {"nedc", "EHTR"},
+			},
+		},
+		{
+			name:    "explicit seed, noise, tick, modules and horizon",
+			matrix:  `{"cycles":[{"name":"delivery"}],"schemes":["DNOR","Baseline"],"seed":11,"sensor_noise_c":0.2,"tick_s":1,"array_sizes":[20],"horizon_ticks":6,"max_duration_s":12}`,
+			sweep:   `{"cycles":["delivery"],"schemes":["dnor","baseline"],"seed":11,"sensor_noise_c":0.2,"tick_s":1,"modules":20,"horizon_ticks":6,"max_duration_s":12}`,
+			modules: 20,
+			rows:    [][2]string{{"delivery", "DNOR"}, {"delivery", "Baseline"}},
+		},
+		{
+			name: "cells of a covering matrix",
+			matrix: `{"cycles":[{"name":"wltc"},{"name":"nedc"}],"schemes":["DNOR","INOR"],
+				"ambients":[{"ambient_c":15},{"ambient_c":25}],"array_sizes":[20,40],"max_duration_s":6}`,
+			sweep:   `{"cycles":["nedc","wltc"],"schemes":["inor"],"max_duration_s":6,"modules":40}`,
+			modules: 40,
+			rows:    [][2]string{{"nedc", "INOR"}, {"wltc", "INOR"}},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			resp, b := postJSON(t, ts.URL+"/v1/matrix", tc.matrix)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("matrix: %d %s", resp.StatusCode, b)
+			}
+			var menv matrixEnvelope
+			if err := json.Unmarshal(b, &menv); err != nil {
+				t.Fatal(err)
+			}
+			before := s.Stats()
+
+			resp, b = postJSON(t, ts.URL+"/v1/sweeps", tc.sweep)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("sweep: %d %s", resp.StatusCode, b)
+			}
+			if got := resp.Header.Get("X-Cache"); got != "miss" {
+				t.Fatalf("sweep X-Cache = %q, want miss (its envelope was never built)", got)
+			}
+			if after := s.Stats(); after.MatrixCells != before.MatrixCells || after.Ticks != before.Ticks {
+				t.Fatalf("sweep simulated %d cells / %d ticks after the matrix, want 0 / 0",
+					after.MatrixCells-before.MatrixCells, after.Ticks-before.Ticks)
+			}
+			var senv sweepEnvelope
+			if err := json.Unmarshal(b, &senv); err != nil {
+				t.Fatal(err)
+			}
+			shape := report.FromScenarioSweep(&experiments.ScenarioSweepResult{})
+			if senv.Version != report.ResultVersion || senv.Table.Title != shape.Title ||
+				!slices.Equal(senv.Table.Header, shape.Header) {
+				t.Fatalf("sweep envelope shape changed: version %d, %q %v", senv.Version, senv.Table.Title, senv.Table.Header)
+			}
+			if len(senv.Table.Rows) != len(tc.rows) {
+				t.Fatalf("sweep has %d rows, want %d", len(senv.Table.Rows), len(tc.rows))
+			}
+			for i, want := range tc.rows {
+				var cell *experiments.MatrixCell
+				for k := range menv.Cells {
+					c := &menv.Cells[k]
+					if c.Cycle == want[0] && c.Scheme == want[1] && c.AmbientC == 25 && c.Modules == tc.modules {
+						cell = c
+					}
+				}
+				if cell == nil {
+					t.Fatalf("matrix has no cell for %v", want)
+				}
+				rendered := report.FromScenarioSweep(&experiments.ScenarioSweepResult{
+					Cells: [][]experiments.ScenarioCell{{{
+						Cycle: cell.Cycle, Scheme: cell.Scheme, DurationS: cell.DurationS,
+						EnergyOutJ: cell.EnergyOutJ, OverheadJ: cell.OverheadJ,
+						SwitchEvents: cell.SwitchEvents, SwitchToggles: cell.SwitchToggles,
+						IdealEnergyJ: cell.IdealEnergyJ,
+					}}},
+				}).Rows[0]
+				if !slices.Equal(senv.Table.Rows[i], rendered) {
+					t.Errorf("row %d = %v, want the matrix cell's %v", i, senv.Table.Rows[i], rendered)
+				}
+			}
+		})
 	}
 }

@@ -28,7 +28,7 @@ type metrics struct {
 	runs             atomic.Int64 // POST /v1/runs accepted
 	sweeps           atomic.Int64 // POST /v1/sweeps accepted
 	matrices         atomic.Int64 // POST /v1/matrix accepted
-	matrixCells      atomic.Int64 // matrix cells actually simulated (not recalled from cache)
+	matrixCells      atomic.Int64 // matrix and sweep cells actually simulated (not recalled from cache)
 	coalesced        atomic.Int64 // requests served by waiting on an identical in-flight job
 	streams          atomic.Int64 // live SSE streams (gauge)
 	jobs             atomic.Int64 // jobs whose execution time landed in jobNanos
@@ -102,7 +102,7 @@ type Stats struct {
 	Runs           int64   // run requests accepted
 	Sweeps         int64   // sweep requests accepted
 	Matrices       int64   // scenario-matrix requests accepted
-	MatrixCells    int64   // matrix cells actually simulated (cache misses)
+	MatrixCells    int64   // matrix and sweep cells actually simulated (cache misses)
 	Computations   int64   // jobs actually simulated
 	Coalesced      int64   // requests that shared an in-flight computation
 	CacheHits      int64   // result cache hits
@@ -207,7 +207,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"tegserve_runs_total", "Run requests accepted.", "counter", st.Runs},
 		{"tegserve_sweeps_total", "Sweep requests accepted.", "counter", st.Sweeps},
 		{"tegserve_matrices_total", "Scenario-matrix requests accepted.", "counter", st.Matrices},
-		{"tegserve_matrix_cells_total", "Matrix cells actually simulated (not recalled from the cell cache).", "counter", st.MatrixCells},
+		{"tegserve_matrix_cells_total", "Matrix and sweep cells actually simulated (not recalled from the cell cache).", "counter", st.MatrixCells},
 		{"tegserve_computations_total", "Jobs actually simulated (not served from cache or coalesced).", "counter", st.Computations},
 		{"tegserve_coalesced_total", "Requests that shared an identical in-flight computation.", "counter", st.Coalesced},
 		{"tegserve_cache_hits_total", "Result cache hits.", "counter", st.CacheHits},

@@ -1,12 +1,12 @@
 // Package serve turns the simulator into a long-lived service:
 // simulation-as-a-service over HTTP. It multiplexes many concurrent
-// runs and sweeps onto a bounded job queue layered over sim.Session /
+// runs and grids onto a bounded job queue layered over sim.Session /
 // sim.Batch, streams per-control-period ticks to clients as
 // Server-Sent Events wired straight into Options.OnTick, and never
-// recomputes a deterministic run it has already priced: a canonical
-// encoding of each request is hashed into a content-addressed LRU of
-// completed result payloads, so a repeat request is answered from
-// memory with the byte-identical response.
+// recomputes a deterministic result it has already priced: a canonical
+// encoding of each request (and of each grid cell) is hashed into a
+// content-addressed LRU of completed result payloads, so a repeat
+// request is answered from memory with the byte-identical response.
 //
 // API (v1):
 //
@@ -14,7 +14,8 @@
 //	GET  /v1/schemes  registered reconfiguration schemes
 //	POST /v1/runs     one scheme over one cycle (JSON result, or SSE
 //	                  tick stream with "stream": true)
-//	POST /v1/sweeps   cycle × scheme matrix on the batch engine
+//	POST /v1/sweeps   cycle × scheme table, compiled to a scenario
+//	                  matrix and served through the matrix path
 //	POST /v1/matrix   declarative scenario matrix (internal/scenario):
 //	                  expanded under the admission bounds, every cell
 //	                  content-addressed into the result cache, SSE
@@ -53,6 +54,7 @@ import (
 	"tegrecon/internal/experiments"
 	"tegrecon/internal/obs"
 	"tegrecon/internal/report"
+	"tegrecon/internal/scenario"
 	"tegrecon/internal/sim"
 	"tegrecon/internal/store"
 )
@@ -66,7 +68,7 @@ type Config struct {
 	// load with 503s (0 → 64; negative admits no waiters at all —
 	// every job beyond the executing slots is shed immediately).
 	MaxQueued int
-	// Workers bounds the sim.Batch pool inside one sweep job
+	// Workers bounds the sim.Batch pool inside one matrix or sweep job
 	// (0 → NumCPU).
 	Workers int
 	// CacheEntries bounds the content-addressed result cache
@@ -123,12 +125,13 @@ type Config struct {
 	Store *store.Store
 	// WorkerPeers lists peer tegserve base URLs (e.g.
 	// "http://10.0.0.2:8080"). When non-empty this server becomes a
-	// coordinator: /v1/sweeps and /v1/matrix split their job lists into
-	// contiguous shards, fan them out to the peers over POST /v1/shards,
-	// and merge the bit-identical partial results into the same envelope
-	// a single process would produce; a failed shard is recomputed
-	// locally. Peers must be plain workers (no WorkerPeers of their own)
-	// with bounds at least as large as the coordinator's.
+	// coordinator: /v1/matrix and /v1/sweeps (which runs as a matrix)
+	// split their missing cells into contiguous shards, fan them out to
+	// the peers over POST /v1/shards, and merge the bit-identical cells
+	// into the same envelope a single process would produce; a failed
+	// shard is recomputed locally. Peers must be plain workers (no
+	// WorkerPeers of their own) with bounds at least as large as the
+	// coordinator's.
 	WorkerPeers []string
 	// PhaseSampleEvery sets sim.Options.PhaseSampleEvery on runs and
 	// fresh twin sessions: every N-th control period the four tick
@@ -586,24 +589,36 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writePayload(w, "bypass", payload)
 		return
 	}
+	payload, state, ok := s.cachedPayload(w, r, key, func(ctx context.Context) ([]byte, error) {
+		return s.runPayload(ctx, p)
+	})
+	if ok {
+		writePayload(w, state, payload)
+	}
+}
+
+// cachedPayload is the one cache → flight → compute path behind every
+// deterministic, non-streaming endpoint. A cache hit (memory or disk)
+// answers at once; otherwise concurrent requests for the key coalesce
+// onto one flight, whose leader re-peeks the cache (a request that lost
+// the race between the probe and the flight claim must not compute a
+// result that just landed), then runs compute under a context detached
+// from its own client (so a leader's disconnect cannot fail its
+// followers) through computeShared, and caches the payload. It returns
+// the payload and its X-Cache state ("hit", "miss" or "coalesced"); on
+// failure it writes the error response itself and returns ok false.
+func (s *Server) cachedPayload(w http.ResponseWriter, r *http.Request, key string, compute func(context.Context) ([]byte, error)) (payload []byte, state string, ok bool) {
 	if payload, ok := s.cache.get(key); ok {
 		s.logCache(r, "hit", key)
-		writePayload(w, "hit", payload)
-		return
+		return payload, "hit", true
 	}
 	payload, err, shared := s.flights.do(r.Context(), key, func() ([]byte, error) {
-		// Re-check under the flight: a request that lost the race
-		// between the cache probe above and joining the flight must
-		// not become a second computation of a result that just landed
-		// (peek: internal, invisible to the hit/miss accounting).
 		if b, ok := s.cache.peek(key); ok {
 			return b, nil
 		}
 		ctx, cancel := s.detachedJobContext()
 		defer cancel()
-		b, err := s.computeShared(ctx, key, func() ([]byte, error) {
-			return s.runPayload(ctx, p)
-		})
+		b, err := s.computeShared(ctx, key, func() ([]byte, error) { return compute(ctx) })
 		if err == nil {
 			s.cache.put(key, b)
 		}
@@ -611,15 +626,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		s.writeJobError(w, r, err)
-		return
+		return nil, "", false
 	}
-	state := "miss"
+	state = "miss"
 	if shared {
 		state = "coalesced"
 		s.met.coalesced.Add(1)
 	}
 	s.logCache(r, state, key)
-	writePayload(w, state, payload)
+	return payload, state, true
 }
 
 // streamRun answers a run request with Server-Sent Events: `start`,
@@ -697,46 +712,16 @@ func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, p runParams, 
 // --- sweep execution ---
 
 // sweepEnvelope is the /v1/sweeps response: the versioned rendering of
-// the cycle × scheme matrix, shared with the report package's table
+// the cycle × scheme grid, shared with the report package's table
 // schema.
 type sweepEnvelope struct {
 	Version int           `json:"version"`
 	Table   *report.Table `json:"table"`
 }
 
-// sweepPayload claims a queue slot and runs the cycle × scheme matrix
-// on the batch engine. Sweeps always price runtime deterministically —
-// the cacheability contract — so the payload is bit-reproducible.
-func (s *Server) sweepPayload(ctx context.Context, p sweepParams) ([]byte, error) {
-	if err := s.q.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.q.release()
-	s.met.computations.Add(1)
-	started := time.Now()
-	defer func() { s.met.observeJob(time.Since(started)) }()
-	sys := sim.DefaultSystem()
-	sys.Modules = p.modules
-	opts := sim.DefaultOptions()
-	opts.TickSeconds = p.tickS
-	opts.SensorNoiseC = p.noiseC
-	opts.Seed = p.seed
-	opts.Workers = s.cfg.Workers
-	opts.DeterministicRuntime = true
-	opts.KeepTicks = false
-	opts.OnTick = func(sim.Tick) { s.met.ticks.Add(1) }
-	setup := &experiments.Setup{Sys: sys, Opts: opts, HorizonTicks: p.horizon}
-	res, err := experiments.ScenarioSweepContext(ctx, setup, experiments.ScenarioOptions{
-		Cycles:      p.cycles,
-		Schemes:     p.schemes,
-		MaxDuration: p.maxDurationS,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(sweepEnvelope{Version: report.ResultVersion, Table: report.FromScenarioSweep(res)})
-}
-
+// handleSweep serves a sweep as the matrix it compiles to: cells come
+// from the per-cell cache shared with /v1/matrix (and from the worker
+// peers in coordinator mode), and the table is rendered from them.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if herr := decodeJSON(w, r, &req); herr != nil {
@@ -753,50 +738,51 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.sweeps.Add(1)
-	s.serveSweepCached(w, r, p, true)
+	key, err := specKey("sweep", p.m)
+	if err != nil {
+		s.writeJSONError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	w.Header().Set("X-Cache-Key", key)
+	payload, state, ok := s.cachedPayload(w, r, key, func(ctx context.Context) ([]byte, error) {
+		cells, _, err := s.gridCells(ctx, p, key)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(sweepEnvelope{Version: report.ResultVersion, Table: sweepTable(p.m, cells)})
+	})
+	if ok {
+		writePayload(w, state, payload)
+	}
 }
 
-// serveSweepCached is the cache → flight → compute path shared by
-// /v1/sweeps and the /v1/shards sweep leg. Only the client-facing
-// entrypoint may distribute: a shard request computes locally
-// regardless of WorkerPeers, so a misconfigured coordinator-as-peer
-// cannot recurse the fan-out.
-func (s *Server) serveSweepCached(w http.ResponseWriter, r *http.Request, p sweepParams, distribute bool) {
-	key := sweepKey(p)
-	w.Header().Set("X-Cache-Key", key)
-	if payload, ok := s.cache.get(key); ok {
-		s.logCache(r, "hit", key)
-		writePayload(w, "hit", payload)
-		return
+// sweepTable renders a compiled sweep's cells as the sweep table: one
+// row per (cycle, scheme) in request order. Matrix cells come back in
+// coordinate order, so rows look their cell up by cycle and scheme.
+// Sweeps price runtime deterministically, so avg_runtime_ms is 0.
+func sweepTable(m *scenario.Matrix, cells []experiments.MatrixCell) *report.Table {
+	type rowKey struct{ cycle, scheme string }
+	byRow := make(map[rowKey]experiments.MatrixCell, len(cells))
+	for _, c := range cells {
+		byRow[rowKey{c.Cycle, c.Scheme}] = c
 	}
-	payload, err, shared := s.flights.do(r.Context(), key, func() ([]byte, error) {
-		// Same race re-check as handleRun: never recompute a result
-		// that landed between the cache probe and the flight claim.
-		if b, ok := s.cache.peek(key); ok {
-			return b, nil
-		}
-		ctx, cancel := s.detachedJobContext()
-		defer cancel()
-		b, err := s.computeShared(ctx, key, func() ([]byte, error) {
-			if distribute && len(s.cfg.WorkerPeers) > 0 {
-				return s.distributedSweep(ctx, p)
+	res := &experiments.ScenarioSweepResult{Schemes: m.Schemes}
+	for _, cy := range m.Cycles {
+		row := make([]experiments.ScenarioCell, len(m.Schemes))
+		for j, sch := range m.Schemes {
+			c := byRow[rowKey{cy.Label, sch}]
+			row[j] = experiments.ScenarioCell{
+				Cycle:         c.Cycle,
+				Scheme:        c.Scheme,
+				DurationS:     c.DurationS,
+				EnergyOutJ:    c.EnergyOutJ,
+				OverheadJ:     c.OverheadJ,
+				SwitchEvents:  c.SwitchEvents,
+				SwitchToggles: c.SwitchToggles,
+				IdealEnergyJ:  c.IdealEnergyJ,
 			}
-			return s.sweepPayload(ctx, p)
-		})
-		if err == nil {
-			s.cache.put(key, b)
 		}
-		return b, err
-	})
-	if err != nil {
-		s.writeJobError(w, r, err)
-		return
+		res.Cells = append(res.Cells, row)
 	}
-	state := "miss"
-	if shared {
-		state = "coalesced"
-		s.met.coalesced.Add(1)
-	}
-	s.logCache(r, state, key)
-	writePayload(w, state, payload)
+	return report.FromScenarioSweep(res)
 }

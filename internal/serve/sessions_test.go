@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tegrecon/internal/sim"
 )
 
 // sessionResponse decodes the "session" object every session endpoint
@@ -484,5 +486,47 @@ func TestSessionCycleExhaustion(t *testing.T) {
 	resp, b := postJSON(t, ts.URL+"/v1/sessions/"+id+"/step", `{"cycle":"delivery","ticks":2000}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("stepping past the cycle end: %d %s (twin at %g s)", resp.StatusCode, b, sr.Session.NowS)
+	}
+}
+
+// TestHorizonTicksBound: DNOR predicts horizon × modules temperatures
+// per decision, so every way in — a run, a twin create and a
+// checkpoint restore — refuses a horizon over sim.MaxHorizonTicks with
+// a 400 before any simulation work, and a run at the bound is served.
+func TestHorizonTicksBound(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	over := sim.MaxHorizonTicks + 1
+
+	resp, b := postJSON(t, ts.URL+"/v1/runs",
+		fmt.Sprintf(`{"cycle":"delivery","scheme":"dnor","duration_s":2,"modules":20,"horizon_ticks":%d}`, over))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("run over the horizon bound: %d %s", resp.StatusCode, b)
+	}
+	resp, b = postJSON(t, ts.URL+"/v1/runs",
+		fmt.Sprintf(`{"cycle":"delivery","scheme":"dnor","duration_s":2,"modules":20,"horizon_ticks":%d}`, sim.MaxHorizonTicks))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run at the horizon bound: %d %s", resp.StatusCode, b)
+	}
+
+	resp, b = postJSON(t, ts.URL+"/v1/sessions", fmt.Sprintf(`{"scheme":"dnor","modules":10,"horizon_ticks":%d}`, over))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("session create over the horizon bound: %d %s", resp.StatusCode, b)
+	}
+
+	id := createSession(t, ts.URL, `{"scheme":"dnor","modules":10}`).Session.ID
+	stepSession(t, ts.URL, id, `{"cycle":"delivery","ticks":2}`)
+	var env map[string]any
+	if err := json.Unmarshal(getCheckpoint(t, ts.URL, id), &env); err != nil {
+		t.Fatal(err)
+	}
+	env["checkpoint"].(map[string]any)["horizon_ticks"] = float64(over)
+	forged, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(map[string]json.RawMessage{"from_checkpoint": forged})
+	resp, b = postJSON(t, ts.URL+"/v1/sessions", string(body))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "horizon") {
+		t.Fatalf("restore over the horizon bound: %d %s", resp.StatusCode, b)
 	}
 }

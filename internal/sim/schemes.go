@@ -8,12 +8,19 @@ import (
 	"tegrecon/internal/predict"
 )
 
+// MaxHorizonTicks bounds DNOR's prediction horizon. Each decision
+// predicts horizon × modules temperatures, so an unbounded horizon is
+// an unbounded allocation; every transport (serve requests, scenario
+// matrices, checkpoint restores) is held to this one limit.
+const MaxHorizonTicks = 10000
+
 // SchemeConfig carries the knobs a scheme builder needs beyond the
 // system itself. The zero value picks the paper's settings, so callers
 // that only want "a DNOR for this rig" pass SchemeConfig{}.
 type SchemeConfig struct {
 	// HorizonTicks is DNOR's prediction horizon tp in control ticks
-	// (0 picks the paper's 4; the other schemes ignore it).
+	// (0 picks the paper's 4, at most MaxHorizonTicks; the other
+	// schemes ignore it).
 	HorizonTicks int
 	// TickSeconds is the control period DNOR prices its lookahead with
 	// (0 picks the paper's 0.5 s).
@@ -58,6 +65,9 @@ func (s Scheme) New(sys *System, cfg SchemeConfig) (core.Controller, error) {
 	}
 	if cfg.HorizonTicks < 0 {
 		return nil, fmt.Errorf("sim: negative prediction horizon %d", cfg.HorizonTicks)
+	}
+	if cfg.HorizonTicks > MaxHorizonTicks {
+		return nil, fmt.Errorf("sim: prediction horizon %d over the %d-tick limit", cfg.HorizonTicks, MaxHorizonTicks)
 	}
 	if cfg.HorizonTicks == 0 {
 		cfg.HorizonTicks = 4
